@@ -89,7 +89,7 @@ fib-diff:
 
 # Anti-superlinear scaling gate: run the end-to-end cable campaign at
 # 1x/3x/10x topology scale (10x = 340 regions, >1M allocated subscriber
-# addresses across both operators), archive the curve as BENCH_PR7.json,
+# addresses across both operators), write the curve to BENCH_SCALE.json,
 # and fail when the 10x/1x wall-time ratio exceeds 18 (a quadratic term
 # in any stage pushes it past 40). -benchtime 1x: each scale point is a
 # full campaign, one run each is the measurement — which makes the
@@ -102,17 +102,17 @@ fib-diff:
 bench-scale:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScaleCampaign \
 		-benchmem -benchtime 1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -scale-gate 18 > BENCH_PR7.json
+		| $(GO) run ./cmd/benchjson -scale-gate 18 > BENCH_SCALE.json
 
 # Streaming-engine memory gate: the 10x campaign through shrinking
-# trace windows against the 1x and 10x resident anchors, archived as
-# BENCH_PR8.json. benchjson -mem-ceiling 3 fails when the smallest
+# trace windows against the 1x and 10x resident anchors, written to
+# BENCH_WINDOW.json. benchjson -mem-ceiling 3 fails when the smallest
 # windowed 10x run allocates more than 3x the 1x resident baseline per
 # op — windowed memory must track the window, not the campaign.
 bench-window:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkWindowedCampaign \
 		-benchmem -benchtime 1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -mem-ceiling 3 > BENCH_PR8.json
+		| $(GO) run ./cmd/benchjson -mem-ceiling 3 > BENCH_WINDOW.json
 
 # Segment-decoder fuzz smoke: five seconds of coverage-guided mutation
 # over the spill-log frames. The decoder must reject arbitrary
@@ -155,14 +155,14 @@ bench-diff:
 
 # Resident-service bench: the regiond load generator hammers the
 # snapshot store from 10k concurrent clients while three background
-# refreshes swap the artifact, and benchjson archives the per-op
+# refreshes swap the artifact, and benchjson writes the per-op
 # mean/p50/p99 latencies and throughput (the p50_ns/p99_ns/qps pairs
-# land in each entry's extra-metrics map) as BENCH_PR6.json. The race
+# land in each entry's extra-metrics map) to BENCH_SERVE.json. The race
 # half of the same guarantee — no torn snapshot is ever observable —
 # runs under `make race` via internal/snapshot's swap test.
 serve-bench:
 	$(GO) run ./cmd/regiond -loadgen -clients 10000 -duration 2s -swaps 3 \
-		| $(GO) run ./cmd/benchjson > BENCH_PR6.json
+		| $(GO) run ./cmd/benchjson > BENCH_SERVE.json
 
 # CPU+heap profiles of a full campaign run, ready for `go tool pprof`.
 profile:

@@ -28,7 +28,7 @@
 // hammers the snapshot store from -clients concurrent goroutines while
 // -swaps background refreshes rotate the artifact, then reports per-op
 // p50/p99 latency in `go test -bench` format so `make serve-bench` can
-// archive it through cmd/benchjson (BENCH_PR6.json).
+// write it through cmd/benchjson (BENCH_SERVE.json).
 package main
 
 import (

@@ -68,7 +68,7 @@ type Campaign struct {
 	// this); under an active FaultPlan the time-windowed faults observe
 	// slightly different virtual clocks than an unbounded run — still
 	// deterministic for fixed settings, but not byte-equal across window
-	// sizes. Zero keeps the historical resident archive.
+	// sizes. Zero holds the archive as one in-memory window.
 	TraceWindow int
 	// SpillDir hosts the segment log (TraceWindow mode only). Empty
 	// creates a .spill-* directory under the working directory, removed
@@ -100,17 +100,14 @@ type Campaign struct {
 
 // Collection is the raw measurement output of a campaign.
 type Collection struct {
-	// Paths and StageOf form the resident archive (TraceWindow == 0).
-	// Windowed campaigns leave both nil and keep the archive in spill;
-	// consumers iterate either shape through NumPaths/EachPath (or the
-	// internal foldPaths), never these fields directly.
-	Paths []Path
-	// StageOf tags each path index with its collection stage: "sweep",
-	// "direct", or "mpls".
-	StageOf []string
-	// spill is the on-disk archive of a windowed campaign; nil when
-	// resident. Collection.Close releases it.
+	// paths is a resident campaign's archive (TraceWindow == 0), held as
+	// one in-memory window; spill is a windowed campaign's on-disk
+	// archive, released by Close. Only replay reads either: consumers
+	// iterate through NumPaths/EachPath (or the internal foldPaths).
+	paths []Path
 	spill *spillArchive
+	// nPaths counts the archived paths in either shape.
+	nPaths int
 	// Observed is every responsive hop address seen.
 	Observed map[netip.Addr]bool
 	// ScanTargets are the snapshot addresses matching the operator's
@@ -352,9 +349,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 	}
 	// Kept paths carve their Hops/Gaps out of shared arena chunks instead
 	// of two exact-size allocations per path; the chunks stay alive for
-	// the Collection's lifetime through the path slices, and each carve is
-	// capacity-clamped so an append on one path can never bleed into the
-	// next path's region.
+	// the Collection's lifetime through the path slices.
 	var hopArena []netip.Addr
 	var gapArena []bool
 	const arenaChunk = 4096
@@ -416,7 +411,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			}
 			submitted += len(jobs)
 			jobs = jobs[:0]
-			rs.cursor.advanceTo(chk.Paths, func(tv traceroute.TraceView, _ string) {
+			rs.cursor.advanceTo(chk.Paths, func(tv traceroute.TraceView) {
 				for k := 0; k < tv.NumHops(); k++ {
 					if !tv.HopResponded(k) {
 						continue
@@ -426,7 +421,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 					c.Net.WarmReply(h.Addr, h.TTL == 1, h.Type == netsim.TTLExceeded)
 				}
 			})
-			col.spill.nPaths = chk.Paths
+			col.nPaths = chk.Paths
 			col.TracesRun = cur.TracesRun
 			col.EmptyTraces = cur.EmptyTraces
 			col.TruncatedTraces = cur.TruncatedTraces
@@ -454,12 +449,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			// paths get exactly-sized slices. Hop rows live in the
 			// chunk's columnar store, valid exactly for this fold call.
 			n := tv.NumHops()
-			resp := 0
-			for k := 0; k < n; k++ {
-				if tv.HopResponded(k) {
-					resp++
-				}
-			}
+			resp := responsiveHops(&tv)
 			col.TracesRun++
 			col.Stats.Add(tv.Stats())
 			col.HopRowsProbed += n
@@ -472,16 +462,16 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 				col.EmptyTraces++
 				return
 			}
-			if writer != nil {
-				for k := 0; k < n; k++ {
-					if tv.HopResponded(k) {
-						col.Observed[tv.Hop(k).Addr] = true
-					}
+			for k := 0; k < n; k++ {
+				if tv.HopResponded(k) {
+					col.Observed[tv.Hop(k).Addr] = true
 				}
+			}
+			col.nPaths++
+			if writer != nil {
 				if err := writer.Append(stage, tv); err != nil {
 					panic(fmt.Errorf("comap: spilling trace: %w", err))
 				}
-				col.spill.nPaths++
 				if writer.Count() >= c.TraceWindow {
 					if err := writer.Seal(); err != nil {
 						panic(fmt.Errorf("comap: sealing window: %w", err))
@@ -500,27 +490,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			lo := len(hopArena)
 			hopArena = hopArena[:lo+resp]
 			gapArena = gapArena[:lo+resp]
-			p := Path{
-				Src: tv.Src, Dst: tv.Dst, Reached: tv.Reached,
-				Hops: hopArena[lo : lo+resp : lo+resp],
-				Gaps: gapArena[lo : lo+resp : lo+resp],
-			}
-			gap := false
-			w := 0
-			for k := 0; k < n; k++ {
-				if !tv.HopResponded(k) {
-					gap = true
-					continue
-				}
-				h := tv.Hop(k)
-				p.Hops[w] = h.Addr
-				p.Gaps[w] = gap
-				w++
-				gap = false
-				col.Observed[h.Addr] = true
-			}
-			col.Paths = append(col.Paths, p)
-			col.StageOf = append(col.StageOf, stage)
+			col.paths = append(col.paths, carvePath(&tv, stage, hopArena[lo:], gapArena[lo:]))
 		})
 		jobs = jobs[:0]
 		flushOrdinal++
@@ -535,7 +505,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			if merr != nil {
 				panic(fmt.Errorf("comap: encoding resume cursor: %w", merr))
 			}
-			if cerr := writer.Checkpoint(col.spill.nPaths, buf); cerr != nil {
+			if cerr := writer.Checkpoint(col.nPaths, buf); cerr != nil {
 				panic(fmt.Errorf("comap: checkpointing spill log: %w", cerr))
 			}
 		}
@@ -610,7 +580,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			if merr != nil {
 				panic(fmt.Errorf("comap: encoding resume cursor: %w", merr))
 			}
-			if cerr := writer.MarkComplete(col.spill.nPaths, buf); cerr != nil {
+			if cerr := writer.MarkComplete(col.nPaths, buf); cerr != nil {
 				panic(fmt.Errorf("comap: completing spill manifest: %w", cerr))
 			}
 		}
@@ -678,7 +648,7 @@ func (c *Campaign) partitionByRegion(col *Collection) [][]netip.Addr {
 	// (below) to the PoPs that actually serve the region.
 	votes := map[netip.Addr]map[string]int{}
 	bbSeen := map[string]map[netip.Addr]bool{}
-	col.EachPath(func(_ int, p Path, _ string) {
+	col.EachPath(func(_ int, p Path) {
 		// Dominant region among named hops.
 		count := map[string]int{}
 		for _, h := range p.Hops {
@@ -830,25 +800,6 @@ func (c *Campaign) aliasTargets(col *Collection) []netip.Addr {
 	return targets.Addrs()
 }
 
-// subnet30Neighbors returns the other (up to three) addresses of a's
-// /30 in out[:n]; the fixed-size return keeps the per-address call
-// allocation-free.
-func subnet30Neighbors(a netip.Addr) (out [3]netip.Addr, n int) {
-	if !a.Is4() {
-		return out, 0
-	}
-	b := a.As4()
-	base := b[3] &^ 3
-	for off := byte(0); off < 4; off++ {
-		nb := netip.AddrFrom4([4]byte{b[0], b[1], b[2], base | off})
-		if nb != a {
-			out[n] = nb
-			n++
-		}
-	}
-	return out, n
-}
-
 // p2pMate returns the interface address expected on the far side of a
 // point-to-point link from a: the other usable address of a's /31 or
 // /30 (bits as inferred for the operator).
@@ -900,7 +851,7 @@ func (c *Campaign) findFalsePairs(col *Collection, pool *probesched.Pool) {
 	shardHint := hint / 4
 	adj := foldPaths(pool, col,
 		func() map[[2]netip.Addr]bool { return make(map[[2]netip.Addr]bool, shardHint) },
-		func(set map[[2]netip.Addr]bool, _ int, p Path, _ string) map[[2]netip.Addr]bool {
+		func(set map[[2]netip.Addr]bool, _ int, p Path) map[[2]netip.Addr]bool {
 			for i := 1; i < len(p.Hops); i++ {
 				if p.Gaps[i] {
 					continue
@@ -933,7 +884,7 @@ func (c *Campaign) findFalsePairs(col *Collection, pool *probesched.Pool) {
 		func() verdicts {
 			return verdicts{map[[2]netip.Addr]bool{}, map[[2]netip.Addr]bool{}}
 		},
-		func(acc verdicts, _ int, p Path, _ string) verdicts {
+		func(acc verdicts, _ int, p Path) verdicts {
 			if !p.Reached {
 				return acc
 			}
@@ -978,14 +929,4 @@ func (c *Campaign) findFalsePairs(col *Collection, pool *probesched.Pool) {
 			return into
 		})
 	col.FalsePairs, col.DirectPairs = v.falsePairs, v.directPairs
-}
-
-// Probes returns a rough count of injected packets; exported for the
-// bench harness narration.
-func (c *Collection) Probes() int {
-	n := 0
-	c.EachPath(func(_ int, p Path, _ string) {
-		n += len(p.Hops)
-	})
-	return n
 }

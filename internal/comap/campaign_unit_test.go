@@ -10,32 +10,39 @@ import (
 	"repro/internal/probesched"
 )
 
-func TestFindFalsePairs(t *testing.T) {
-	c := &Campaign{}
-	col := &Collection{
+// collectionOf builds a resident Collection holding the given paths,
+// with the maps a campaign run initializes.
+func collectionOf(paths ...Path) *Collection {
+	return &Collection{
+		paths:       paths,
+		nPaths:      len(paths),
 		Observed:    map[netip.Addr]bool{},
 		FalsePairs:  map[[2]netip.Addr]bool{},
 		DirectPairs: map[[2]netip.Addr]bool{},
-		Paths: []Path{
-			// Original trace: (ingress a) -> (egress b) appear adjacent.
-			{Dst: a("203.0.113.1"), Reached: true,
-				Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.2")},
-				Gaps: []bool{false, false}},
-			// DPR trace to b: the interior hop 10.0.0.9 appears between
-			// them.
-			{Dst: a("10.0.0.2"), Reached: true,
-				Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9"), a("10.0.0.2")},
-				Gaps: []bool{false, false, false}},
-			// A genuine adjacency confirmed by a trace addressed to its
-			// second hop.
-			{Dst: a("203.0.113.2"), Reached: true,
-				Hops: []netip.Addr{a("10.0.1.1"), a("10.0.1.2")},
-				Gaps: []bool{false, false}},
-			{Dst: a("10.0.1.2"), Reached: true,
-				Hops: []netip.Addr{a("10.0.1.1"), a("10.0.1.2")},
-				Gaps: []bool{false, false}},
-		},
 	}
+}
+
+func TestFindFalsePairs(t *testing.T) {
+	c := &Campaign{}
+	col := collectionOf(
+		// Original trace: (ingress a) -> (egress b) appear adjacent.
+		Path{Dst: a("203.0.113.1"), Reached: true,
+			Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.2")},
+			Gaps: []bool{false, false}},
+		// DPR trace to b: the interior hop 10.0.0.9 appears between
+		// them.
+		Path{Dst: a("10.0.0.2"), Reached: true,
+			Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9"), a("10.0.0.2")},
+			Gaps: []bool{false, false, false}},
+		// A genuine adjacency confirmed by a trace addressed to its
+		// second hop.
+		Path{Dst: a("203.0.113.2"), Reached: true,
+			Hops: []netip.Addr{a("10.0.1.1"), a("10.0.1.2")},
+			Gaps: []bool{false, false}},
+		Path{Dst: a("10.0.1.2"), Reached: true,
+			Hops: []netip.Addr{a("10.0.1.1"), a("10.0.1.2")},
+			Gaps: []bool{false, false}},
+	)
 	c.findFalsePairs(col, probesched.New(1, nil))
 	if !col.FalsePairs[[2]netip.Addr{a("10.0.0.1"), a("10.0.0.2")}] {
 		t.Error("tunnel entry/exit pair not flagged false")
@@ -63,16 +70,14 @@ func TestPartitionByRegion(t *testing.T) {
 	dns.SetSnapshot(a("10.0.9.1"), bb)
 
 	c := &Campaign{DNS: dns, ISP: "comcast"}
-	col := &Collection{
-		AliasTargets: []netip.Addr{
-			a("10.0.0.1"), a("10.0.0.2"), a("10.0.1.1"), a("10.0.9.1"),
-			a("10.0.0.9"), // unnamed, appears on a west path below
-			a("10.0.7.7"), // unnamed, unattributed
-		},
-		Paths: []Path{
-			{Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9"), a("10.0.0.2")},
-				Gaps: []bool{false, false, false}},
-		},
+	col := collectionOf(
+		Path{Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9"), a("10.0.0.2")},
+			Gaps: []bool{false, false, false}},
+	)
+	col.AliasTargets = []netip.Addr{
+		a("10.0.0.1"), a("10.0.0.2"), a("10.0.1.1"), a("10.0.9.1"),
+		a("10.0.0.9"), // unnamed, appears on a west path below
+		a("10.0.7.7"), // unnamed, unattributed
 	}
 	parts := c.partitionByRegion(col)
 	if len(parts) < 3 {

@@ -99,7 +99,7 @@ func BuildGraphsParallel(col *Collection, m *Mapping, workers int) *Inference {
 				coPaths: map[coPair]pathTally{},
 			}
 		},
-		func(acc recordAcc, pi int, p Path, _ string) recordAcc {
+		func(acc recordAcc, pi int, p Path) recordAcc {
 			for i := 1; i < len(p.Hops); i++ {
 				if p.Gaps[i] {
 					continue
@@ -479,7 +479,7 @@ func inferEntries(pool *probesched.Pool, col *Collection, m *Mapping, infos []sy
 				reached:  map[entryKey]map[symtab.Sym]bool{},
 			}
 		},
-		func(acc entryAcc, _ int, p Path, _ string) entryAcc {
+		func(acc entryAcc, _ int, p Path) entryAcc {
 			// Project the path onto mapped COs, collapsing repeats and
 			// respecting gaps.
 			cos := acc.cos[:0]

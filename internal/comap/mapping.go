@@ -183,7 +183,7 @@ func BuildMappingParallel(col *Collection, dns *dnsdb.DB, isp string, workers in
 	// pair straddling two shards still contributes exactly one vote.
 	seenMate := foldPaths(pool, col,
 		func() map[[2]netip.Addr]bool { return map[[2]netip.Addr]bool{} },
-		func(set map[[2]netip.Addr]bool, _ int, p Path, _ string) map[[2]netip.Addr]bool {
+		func(set map[[2]netip.Addr]bool, _ int, p Path) map[[2]netip.Addr]bool {
 			for i := 1; i < len(p.Hops); i++ {
 				if p.Gaps[i] {
 					continue
@@ -303,7 +303,7 @@ func inferP2PBits(pool *probesched.Pool, col *Collection, m *Mapping) int {
 	// last-two-bit offsets off the merged set.
 	seen := foldPaths(pool, col,
 		func() map[netip.Addr]bool { return map[netip.Addr]bool{} },
-		func(set map[netip.Addr]bool, _ int, p Path, _ string) map[netip.Addr]bool {
+		func(set map[netip.Addr]bool, _ int, p Path) map[netip.Addr]bool {
 			end := len(p.Hops)
 			if p.Reached {
 				end-- // the destination itself may be a host, not a router

@@ -63,22 +63,6 @@ func TestP2PMateInvolution(t *testing.T) {
 	}
 }
 
-func TestSubnet30Neighbors(t *testing.T) {
-	nbrs, n := subnet30Neighbors(a("10.0.0.5"))
-	if n != 3 {
-		t.Fatalf("neighbors = %v (n=%d)", nbrs, n)
-	}
-	want := map[string]bool{"10.0.0.4": true, "10.0.0.6": true, "10.0.0.7": true}
-	for _, x := range nbrs[:n] {
-		if !want[x.String()] {
-			t.Errorf("unexpected neighbor %v", x)
-		}
-	}
-	if _, n := subnet30Neighbors(a("2001:db8::1")); n != 0 {
-		t.Error("IPv6 produced neighbors")
-	}
-}
-
 func TestEnumerate24s(t *testing.T) {
 	got := enumerate24s(netip.MustParsePrefix("10.1.0.0/22"))
 	if len(got) != 4 {
@@ -150,18 +134,14 @@ func TestSubnetRefinementVote(t *testing.T) {
 	name("10.0.0.5", "cothree") // y itself: the next router
 	name("10.0.0.9", "cothree")
 
-	col := &Collection{
-		Observed:    map[netip.Addr]bool{},
-		FalsePairs:  map[[2]netip.Addr]bool{},
-		DirectPairs: map[[2]netip.Addr]bool{},
-		Paths: []Path{
-			{Src: a("192.0.2.1"), Dst: a("198.51.100.1"),
-				Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.5")}, Gaps: []bool{false, false}},
-			{Src: a("192.0.2.1"), Dst: a("198.51.100.2"),
-				Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9")}, Gaps: []bool{false, false}},
-		},
+	paths := []Path{
+		{Src: a("192.0.2.1"), Dst: a("198.51.100.1"),
+			Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.5")}, Gaps: []bool{false, false}},
+		{Src: a("192.0.2.1"), Dst: a("198.51.100.2"),
+			Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9")}, Gaps: []bool{false, false}},
 	}
-	for _, p := range col.Paths {
+	col := collectionOf(paths...)
+	for _, p := range paths {
 		for _, h := range p.Hops {
 			col.Observed[h] = true
 		}
@@ -180,7 +160,6 @@ func TestSubnetRefinementVote(t *testing.T) {
 
 func TestInferP2PBitsFromOffsets(t *testing.T) {
 	mk := func(addrs ...string) (*Collection, *Mapping) {
-		col := &Collection{FalsePairs: map[[2]netip.Addr]bool{}, DirectPairs: map[[2]netip.Addr]bool{}}
 		m := &Mapping{
 			CO:    map[netip.Addr]string{},
 			Syms:  symtab.New(0),
@@ -194,8 +173,7 @@ func TestInferP2PBitsFromOffsets(t *testing.T) {
 			m.CO[a(s)] = "r/c" + s
 			m.COSym[a(s)] = m.Syms.Intern("r/c" + s)
 		}
-		col.Paths = []Path{{Hops: hops, Gaps: gaps}}
-		return col, m
+		return collectionOf(Path{Hops: hops, Gaps: gaps}), m
 	}
 	// /30 style: offsets 1 and 2 only.
 	col, m := mk("10.0.0.1", "10.0.1.2", "10.0.2.1", "10.0.3.2", "10.0.4.1")

@@ -95,7 +95,7 @@ func (r *Result) StageAdjacencies() map[string]int {
 	}
 	perStage := foldPaths(pool, r.Collection,
 		func() map[string]map[[2]symtab.Sym]bool { return map[string]map[[2]symtab.Sym]bool{} },
-		func(acc map[string]map[[2]symtab.Sym]bool, _ int, p Path, stage string) map[string]map[[2]symtab.Sym]bool {
+		func(acc map[string]map[[2]symtab.Sym]bool, _ int, p Path) map[string]map[[2]symtab.Sym]bool {
 			for h := 1; h < len(p.Hops); h++ {
 				if p.Gaps[h] {
 					continue
@@ -109,10 +109,10 @@ func (r *Result) StageAdjacencies() map[string]int {
 				if !ra.ok || !rb.ok || ra.region != rb.region {
 					continue
 				}
-				if acc[stage] == nil {
-					acc[stage] = map[[2]symtab.Sym]bool{}
+				if acc[p.Stage] == nil {
+					acc[p.Stage] = map[[2]symtab.Sym]bool{}
 				}
-				acc[stage][[2]symtab.Sym{a, b}] = true
+				acc[p.Stage][[2]symtab.Sym{a, b}] = true
 			}
 			return acc
 		},

@@ -109,7 +109,7 @@ type logCursor struct {
 // visited. Checkpoints sit on window boundaries, so a window that
 // would overshoot the target means the regeneration diverged from the
 // log — a programming error, not an input condition; it panics.
-func (lc *logCursor) advanceTo(target int, visit func(tv traceroute.TraceView, stage string)) {
+func (lc *logCursor) advanceTo(target int, visit func(tv traceroute.TraceView)) {
 	if lc.paths >= target {
 		if lc.paths != target {
 			panic(fmt.Errorf("comap: resume checkpoint at %d paths behind log cursor %d: regeneration diverged", target, lc.paths))
@@ -132,7 +132,7 @@ func (lc *logCursor) advanceTo(target int, visit func(tv traceroute.TraceView, s
 			panic(fmt.Errorf("comap: recovered spill log ends at %d paths, checkpoint expects %d", lc.paths, target))
 		}
 		for i := 0; i < lc.seg.NumTraces(); i++ {
-			visit(lc.seg.View(i), lc.seg.Stage)
+			visit(lc.seg.View(i))
 			lc.paths++
 		}
 	}

@@ -25,6 +25,9 @@ type Path struct {
 	Gaps []bool
 	// Reached is true when Dst itself answered.
 	Reached bool
+	// Stage is the collection stage that traced the path: "sweep",
+	// "direct", or "mpls".
+	Stage string
 }
 
 // MappingStats tracks how each refinement stage of Phase 1 modified the

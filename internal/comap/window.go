@@ -11,15 +11,16 @@ import (
 	"repro/internal/traceroute"
 )
 
-// Windowed collection: when a Campaign sets TraceWindow, the flush fold
-// no longer appends paths to one resident archive. Each kept trace is
-// encoded into a traceroute segment log instead, sealed every
-// TraceWindow traces (and at stage boundaries), and every inference
-// pass replays the log window-at-a-time — resident path memory is
-// O(window) regardless of campaign size. The replay reconstructs
-// exactly the Path values the resident flush would have built (same
-// responsive-hop filtering, same gap tracking, same order), which is
-// why the golden digests are bit-identical at any window size.
+// The path archive has one contract: Collection.replay streams it
+// window-at-a-time, and every inference pass is a fold over those
+// windows. A resident campaign (TraceWindow == 0) holds its archive as
+// one in-memory window with no encoding. A windowed campaign encodes
+// each kept trace into a traceroute segment log instead, sealed every
+// TraceWindow traces (and at stage boundaries), and replays the log
+// window-at-a-time — resident path memory is O(window) regardless of
+// campaign size. Both shapes build their Path values through carvePath
+// (same responsive-hop filtering, same gap tracking, same order), which
+// is why the golden digests are bit-identical at any window size.
 
 // spillArchive is the on-disk form of a Collection's path archive.
 type spillArchive struct {
@@ -28,7 +29,6 @@ type spillArchive struct {
 	// SpillDir="" case); a caller-provided directory is left alone.
 	dir     string
 	ownsDir bool
-	nPaths  int
 }
 
 // newSpillArchive places the segment log in dir, or in a fresh
@@ -71,6 +71,42 @@ func (sp *spillArchive) Close() error {
 	return err
 }
 
+// carvePath builds the Path of one kept trace: its responsive hops in
+// TTL order, each gap-marked when silent hops preceded it. hops and
+// gaps must hold at least the trace's responsive-hop count; the Path's
+// slices are carved from their front, capacity-clamped so an append on
+// one path can never bleed into the next path's region.
+func carvePath(tv *traceroute.TraceView, stage string, hops []netip.Addr, gaps []bool) Path {
+	w := 0
+	gap := false
+	for k := 0; k < tv.NumHops(); k++ {
+		if !tv.HopResponded(k) {
+			gap = true
+			continue
+		}
+		hops[w] = tv.Hop(k).Addr
+		gaps[w] = gap
+		gap = false
+		w++
+	}
+	return Path{
+		Src: tv.Src, Dst: tv.Dst, Reached: tv.Reached, Stage: stage,
+		Hops: hops[:w:w],
+		Gaps: gaps[:w:w],
+	}
+}
+
+// responsiveHops counts the trace's hop rows that produced an answer.
+func responsiveHops(tv *traceroute.TraceView) int {
+	n := 0
+	for k := 0; k < tv.NumHops(); k++ {
+		if tv.HopResponded(k) {
+			n++
+		}
+	}
+	return n
+}
+
 // windowScratch is the pooled decode state one replay pass cycles
 // through: the reusable Segment plus the Path/hop/gap arenas the
 // window's paths are carved from. Everything is sized once per window
@@ -94,53 +130,45 @@ func (ws *windowScratch) decode() []Path {
 	total := 0
 	for i := 0; i < n; i++ {
 		tv := ws.seg.View(i)
-		for k := 0; k < tv.NumHops(); k++ {
-			if tv.HopResponded(k) {
-				total++
-			}
-		}
+		total += responsiveHops(&tv)
 	}
 	if cap(ws.hops) < total {
 		ws.hops = make([]netip.Addr, total)
 		ws.gaps = make([]bool, total)
 	}
-	hops, gaps := ws.hops[:total], ws.gaps[:total]
 	paths := ws.paths[:0]
 	off := 0
 	for i := 0; i < n; i++ {
 		tv := ws.seg.View(i)
-		start := off
-		gap := false
-		for k := 0; k < tv.NumHops(); k++ {
-			if !tv.HopResponded(k) {
-				gap = true
-				continue
-			}
-			hops[off] = tv.Hop(k).Addr
-			gaps[off] = gap
-			gap = false
-			off++
-		}
-		paths = append(paths, Path{
-			Src: tv.Src, Dst: tv.Dst, Reached: tv.Reached,
-			Hops: hops[start:off:off],
-			Gaps: gaps[start:off:off],
-		})
+		p := carvePath(&tv, ws.seg.Stage, ws.hops[off:total], ws.gaps[off:total])
+		off += len(p.Hops)
+		paths = append(paths, p)
 	}
 	ws.paths = paths
 	return paths
 }
 
-// replay streams the archive's windows through fn in log order. base is
-// the global index of the window's first path — base+j addresses path j
-// exactly as the resident archive's flat index does. The window's Path
-// values are valid only during the callback (arenas recycle).
+// replay streams the archive through fn in collection order, one
+// window per call: the resident archive is a single window, a spilled
+// one is its segment log's windows in log order. base is the global
+// index of the window's first path, so base+j addresses path j of the
+// whole archive. Spilled windows' Path values are valid only during the
+// callback (arenas recycle).
+//
+// Do not split the resident archive into several windows (one per
+// stage, say): every window runs its own probesched.Reduce, and the
+// passes presize each Reduce span's maps from whole-archive hints, so
+// extra windows multiply those allocations.
 //
 // Decode failures panic: the log was written by this process moments
 // ago, so a bad frame is a programming error or disk fault, not an
 // input condition the pipeline can recover from.
-func (sp *spillArchive) replay(fn func(base int, paths []Path, stage string)) {
-	r, err := traceroute.OpenSegmentLog(sp.logPath)
+func (c *Collection) replay(fn func(base int, paths []Path)) {
+	if c.spill == nil {
+		fn(0, c.paths)
+		return
+	}
+	r, err := traceroute.OpenSegmentLog(c.spill.logPath)
 	if err != nil {
 		panic(fmt.Errorf("comap: replaying spill archive: %w", err))
 	}
@@ -157,82 +185,54 @@ func (sp *spillArchive) replay(fn func(base int, paths []Path, stage string)) {
 			break
 		}
 		paths := ws.decode()
-		fn(base, paths, ws.seg.Stage)
+		fn(base, paths)
 		base += len(paths)
 	}
-	if base != sp.nPaths {
-		panic(fmt.Sprintf("comap: spill archive replayed %d paths, recorded %d", base, sp.nPaths))
+	if base != c.nPaths {
+		panic(fmt.Sprintf("comap: spill archive replayed %d paths, recorded %d", base, c.nPaths))
 	}
 }
 
-// stageAt is the resident stage lookup, tolerating hand-built
-// collections (unit tests) that populate Paths without StageOf.
-func (c *Collection) stageAt(i int) string {
-	if i < len(c.StageOf) {
-		return c.StageOf[i]
-	}
-	return ""
-}
-
-// NumPaths reports the archive size: resident paths or spilled traces.
-func (c *Collection) NumPaths() int {
-	if c.spill != nil {
-		return c.spill.nPaths
-	}
-	return len(c.Paths)
-}
+// NumPaths reports the archive size.
+func (c *Collection) NumPaths() int { return c.nPaths }
 
 // EachPath visits every collected path in canonical (submission) order
-// with its global index and collection stage — the sequential iteration
-// surface that works identically for resident and spilled archives.
-// Spilled Path values are valid only during the callback.
-func (c *Collection) EachPath(fn func(i int, p Path, stage string)) {
-	if c.spill != nil {
-		c.spill.replay(func(base int, paths []Path, stage string) {
-			for j, p := range paths {
-				fn(base+j, p, stage)
-			}
-		})
-		return
-	}
-	for i, p := range c.Paths {
-		fn(i, p, c.stageAt(i))
-	}
+// with its global index. Path values are valid only during the
+// callback.
+func (c *Collection) EachPath(fn func(i int, p Path)) {
+	c.replay(func(base int, paths []Path) {
+		for j, p := range paths {
+			fn(base+j, p)
+		}
+	})
 }
 
-// Close releases the collection's spill files, if any. Resident
-// collections need no cleanup; Close is idempotent.
+// Close releases the collection's spill files, if any. A resident
+// archive needs no cleanup; Close is idempotent.
 func (c *Collection) Close() error {
 	sp := c.spill
 	c.spill = nil
 	return sp.Close()
 }
 
-// foldPaths is the archive-shape-independent form of the inference
-// passes' shard-accumulate-merge: the same (init, accum, merge)
-// contract as probesched.Reduce, with accum handed the path and stage
-// directly so it never indexes a resident slice.
+// foldPaths is the inference passes' shard-accumulate-merge over the
+// archive: the same (init, accum, merge) contract as probesched.Reduce,
+// with accum handed the path directly so it never indexes an archive.
 //
-// Resident archives reduce over the flat path slice exactly as before.
-// Spilled archives replay window-at-a-time: each window reduces across
-// the pool's workers, and window accumulators merge in window order.
-// Because windows partition the global index range contiguously and in
-// order, this is the same shard structure Reduce itself builds — for
-// the concatenation-homomorphic (accum, merge) pairs the passes use,
-// the result is identical for any window size and worker count.
+// Each replayed window reduces across the pool's workers, and window
+// accumulators merge in window order. Because windows partition the
+// global index range contiguously and in order, this is the same shard
+// structure Reduce itself builds — for the concatenation-homomorphic
+// (accum, merge) pairs the passes use, the result is identical for any
+// window size and worker count.
 func foldPaths[A any](pool *probesched.Pool, col *Collection, init func() A,
-	accum func(a A, i int, p Path, stage string) A,
+	accum func(a A, i int, p Path) A,
 	merge func(into, from A) A) A {
-	if col.spill == nil {
-		return probesched.Reduce(pool, len(col.Paths), init,
-			func(a A, i int) A { return accum(a, i, col.Paths[i], col.stageAt(i)) },
-			merge)
-	}
 	var acc A
 	first := true
-	col.spill.replay(func(base int, paths []Path, stage string) {
+	col.replay(func(base int, paths []Path) {
 		part := probesched.Reduce(pool, len(paths), init,
-			func(a A, j int) A { return accum(a, base+j, paths[j], stage) },
+			func(a A, j int) A { return accum(a, base+j, paths[j]) },
 			merge)
 		if first {
 			acc, first = part, false

@@ -7,6 +7,7 @@ import (
 	"repro/internal/attmap"
 	"repro/internal/metrics"
 	"repro/internal/topogen"
+	"repro/internal/vclock"
 )
 
 // ATTStudy is the §6 case study: the AT&T-like telco mapped from
@@ -31,8 +32,8 @@ type ATTStudy struct {
 const DetailRegion = "sd2ca"
 
 // NewATTStudy builds the AT&T scenario and its vantage points. Options
-// configure parallelism and the clock origin; with no options the study
-// behaves exactly as it always has.
+// (see Config) tune the campaigns; with no options the study behaves
+// exactly as it always has.
 func NewATTStudy(seed int64, opts ...Option) *ATTStudy {
 	s := topogen.NewScenario(seed)
 	tel := s.BuildTelco(topogen.ATTProfile())
@@ -57,7 +58,7 @@ func (st *ATTStudy) campaign() *attmap.Campaign {
 	return &attmap.Campaign{
 		Net:          st.Scenario.Net,
 		DNS:          st.Scenario.DNS,
-		Clock:        st.cfg.clock(st.Scenario.Epoch()),
+		Clock:        vclock.New(st.Scenario.Epoch()),
 		ISP:          "att",
 		BootstrapVPs: st.BootstrapVPs,
 		RegionVPs: map[string][]netip.Addr{

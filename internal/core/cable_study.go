@@ -11,6 +11,7 @@ import (
 	"repro/internal/comap"
 	"repro/internal/metrics"
 	"repro/internal/topogen"
+	"repro/internal/vclock"
 )
 
 // sortedRegions returns the region names in sorted order so figures
@@ -49,8 +50,8 @@ type CableStudy struct {
 
 // NewCableStudy builds the scenario (both operators, clouds, VPs) for a
 // seed. The measurement campaigns run lazily per operator. Options
-// configure parallelism, probe budget, and the clock origin; with no
-// options the study behaves exactly as it always has.
+// configure parallelism, probe budget, scale, and the trace archive;
+// with no options the study behaves exactly as it always has.
 func NewCableStudy(seed int64, opts ...Option) *CableStudy {
 	cfg := buildConfig(opts)
 	s := topogen.NewScenario(seed)
@@ -103,7 +104,7 @@ func (st *CableStudy) ResultContext(ctx context.Context, isp string) (*comap.Res
 	c := &comap.Campaign{
 		Net:         st.Scenario.Net,
 		DNS:         st.Scenario.DNS,
-		Clock:       st.cfg.clock(st.Scenario.Epoch()),
+		Clock:       vclock.New(st.Scenario.Epoch()),
 		ISP:         isp,
 		Seed:        st.seed,
 		VPs:         st.VPs,
@@ -316,7 +317,7 @@ func (st *CableStudy) cloudStudy(pings int) *cloudlat.Study {
 	}
 	return &cloudlat.Study{
 		Net:         st.Scenario.Net,
-		Clock:       st.cfg.clock(st.Scenario.Epoch()),
+		Clock:       vclock.New(st.Scenario.Epoch()),
 		VMs:         vms,
 		Pings:       pings,
 		Parallelism: st.cfg.Parallelism,

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/netsim"
 	"repro/internal/probesched"
 	"repro/internal/segfault"
 	"repro/internal/topogen"
-	"repro/internal/vclock"
 )
 
 // Config carries the study knobs shared by every case study. Studies
@@ -25,9 +22,6 @@ type Config struct {
 	// ProbeBudget caps the total traceroutes a campaign may submit
 	// (0 = unlimited). Only the cable campaign currently enforces it.
 	ProbeBudget int
-	// Start overrides the campaign clocks' origin instant; the zero
-	// value keeps the scenario epoch.
-	Start time.Time
 	// Faults, when non-nil, is installed on the scenario network after
 	// it is built: every campaign the study runs measures through the
 	// faulted plane. nil (the default) leaves the network pristine.
@@ -42,8 +36,9 @@ type Config struct {
 	// TraceWindow streams campaigns through the windowed engine: kept
 	// traces spill to disk in windows of this many traces and inference
 	// replays them window-at-a-time, keeping path memory O(window)
-	// instead of O(campaign). Zero (the default) keeps the resident
-	// archive. Fault-free results are bit-identical at any value.
+	// instead of O(campaign). Zero (the default) holds the archive as
+	// one in-memory window. Fault-free results are bit-identical at any
+	// value.
 	TraceWindow int
 	// SpillDir hosts the windowed engine's segment log; empty creates a
 	// .spill-* directory under the working directory, cleaned up when
@@ -76,13 +71,6 @@ func WithProbeBudget(n int) Option {
 	return func(c *Config) { c.ProbeBudget = n }
 }
 
-// WithClock starts the campaigns' virtual clocks at the given instant
-// instead of the scenario epoch. Useful for replaying a campaign at a
-// different virtual time (IP-ID velocities are time-dependent).
-func WithClock(start time.Time) Option {
-	return func(c *Config) { c.Start = start }
-}
-
 // WithFaults installs a fault plan on the study's network: link loss,
 // ICMP rate limiting, blackouts, silent routers, and VP churn, all
 // derived deterministically from the plan seed (see netsim.FaultPlan).
@@ -106,10 +94,10 @@ func WithScale(sc topogen.Scale) Option {
 }
 
 // WithTraceWindow bounds campaign memory: traces spill to disk in
-// windows of n traces and inference replays them window-at-a-time. Zero
-// keeps the resident archive. Fault-free campaign output is
-// bit-identical at any window size; memory falls from O(campaign) to
-// O(window).
+// windows of n traces and inference replays them window-at-a-time.
+// Zero holds the archive as one in-memory window. Fault-free campaign
+// output is bit-identical at any window size; memory falls from
+// O(campaign) to O(window).
 func WithTraceWindow(n int) Option {
 	return func(c *Config) { c.TraceWindow = n }
 }
@@ -150,14 +138,4 @@ func (c Config) installFaults(n *netsim.Network) {
 	if c.Faults != nil {
 		n.SetFaultPlan(*c.Faults)
 	}
-}
-
-// clock builds a campaign clock honoring the WithClock override, with
-// the scenario epoch as the default origin.
-func (c Config) clock(epoch time.Time) *vclock.Clock {
-	start := c.Start
-	if start.IsZero() {
-		start = epoch
-	}
-	return vclock.New(start)
 }

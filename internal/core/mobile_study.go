@@ -43,8 +43,8 @@ var coverageBias = map[string]float64{
 }
 
 // NewMobileStudy builds the mobile scenario: three carriers, targets in
-// neighboring ASes, and a San Diego reference server. Options configure
-// parallelism and the clock origin; with no options the study behaves
+// neighboring ASes, and a San Diego reference server. Options (see
+// Config) tune the campaigns; with no options the study behaves
 // exactly as it always has.
 func NewMobileStudy(seed int64, opts ...Option) *MobileStudy {
 	s := topogen.NewScenario(seed)
@@ -91,7 +91,7 @@ func (st *MobileStudy) Rounds(carrier string) []ship.Round {
 	}
 	c := &ship.Campaign{
 		Net:          st.Scenario.Net,
-		Clock:        st.cfg.clock(st.Scenario.Epoch()),
+		Clock:        vclock.New(st.Scenario.Epoch()),
 		Modem:        st.Carriers[carrier].NewModem(),
 		CellDB:       cellgeo.NewDB(0.25),
 		Targets:      st.Targets,

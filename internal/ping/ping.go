@@ -151,15 +151,6 @@ type Outcome struct {
 	From netip.Addr
 }
 
-// WithClock returns a copy of the pinger bound to clk, for callers that
-// want to hold the binding; the scheduler path binds on the stack
-// instead (see Probe).
-func (p *Pinger) WithClock(clk *vclock.Clock) *Pinger {
-	cfg := *p
-	cfg.Clock = clk
-	return &cfg
-}
-
 // Probe implements probesched.Prober: a plain echo series when req.TTL
 // is zero, the §6.3 TTL-limited series otherwise. The result is an
 // Outcome. The clock binding is a stack copy so the per-job dispatch

@@ -48,8 +48,8 @@ func quickstartCampaign(workers int) *comap.Campaign {
 // divergence (path order, hop content, alias evidence) changes the hash.
 func serializeCollection(col *comap.Collection) string {
 	var b strings.Builder
-	col.EachPath(func(_ int, p comap.Path, stage string) {
-		fmt.Fprintf(&b, "path %s>%s stage=%s reached=%v hops=", p.Src, p.Dst, stage, p.Reached)
+	col.EachPath(func(_ int, p comap.Path) {
+		fmt.Fprintf(&b, "path %s>%s stage=%s reached=%v hops=", p.Src, p.Dst, p.Stage, p.Reached)
 		for j, h := range p.Hops {
 			fmt.Fprintf(&b, "%s/gap=%v,", h, p.Gaps[j])
 		}
@@ -154,10 +154,10 @@ func TestProbeBudgetCapsAndStaysDeterministic(t *testing.T) {
 		c.MaxTraces = 60
 		c.SkipAlias = true
 		col := c.Run()
-		if len(col.Paths) > 60 {
-			t.Fatalf("workers=%d: %d paths exceed the 60-trace budget", workers, len(col.Paths))
+		if col.NumPaths() > 60 {
+			t.Fatalf("workers=%d: %d paths exceed the 60-trace budget", workers, col.NumPaths())
 		}
-		return sha256.Sum256([]byte(serializeCollection(col))), len(col.Paths)
+		return sha256.Sum256([]byte(serializeCollection(col))), col.NumPaths()
 	}
 	base, n := digest(1)
 	if n == 0 {

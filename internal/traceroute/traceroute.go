@@ -340,8 +340,7 @@ func (e *Engine) Trace(src, dst netip.Addr) Trace {
 
 // traceWith runs one traceroute on the supplied clock. The defaulted
 // configuration copy stays on this frame (nothing returns a pointer to
-// it), so the per-job engine binding costs no allocation — unlike the
-// WithClock path, whose returned pointer must escape.
+// it), so the per-job engine binding costs no allocation.
 func (e *Engine) traceWith(clk *vclock.Clock, src, dst netip.Addr) Trace {
 	cfg := *e
 	cfg.Clock = clk
@@ -418,15 +417,6 @@ func (e *Engine) ApplyResilience(r probesched.Resilience) {
 	if r.TraceBudget > 0 {
 		e.ProbeBudget = r.TraceBudget
 	}
-}
-
-// WithClock returns a copy of the engine bound to clk, for callers that
-// want to hold the binding; the scheduler path avoids it (see
-// traceWith).
-func (e *Engine) WithClock(clk *vclock.Clock) *Engine {
-	cfg := *e
-	cfg.Clock = clk
-	return &cfg
 }
 
 // Probe implements probesched.Prober: one traceroute from req.Src
